@@ -43,16 +43,30 @@ def emit(title: str, body: str) -> None:
 
 
 def pytest_sessionfinish(session, exitstatus):
-    """Flush recorded measurements to the BENCH_*.json artifacts."""
-    from benchmarks.record import (
-        flush,
-        flush_audit,
-        flush_outofcore,
-        flush_server,
-        flush_service,
-    )
+    """Flush recorded measurements to the BENCH_*.json artifacts.
 
-    for path in (flush(), flush_service(), flush_outofcore(), flush_server(),
-                 flush_audit()):
-        if path:
-            print(f"\nbenchmark record written: {path}")
+    Each record goes to the path its ``REPRO_BENCH_RECORD*`` variable names
+    (CI sets them all; point one into ``benchmarks/`` to update a committed
+    record).  Without one it goes to a temp directory, so a plain test run
+    leaves the tree unchanged.
+    """
+    import tempfile
+
+    from benchmarks import record
+
+    scratch = os.path.join(tempfile.gettempdir(), "repro-bench")
+    for flush, variable, default in (
+        (record.flush, "REPRO_BENCH_RECORD", record.DEFAULT_PATH),
+        (record.flush_service, "REPRO_BENCH_RECORD_SERVICE", record.DEFAULT_SERVICE_PATH),
+        (record.flush_outofcore, "REPRO_BENCH_RECORD_OUTOFCORE",
+         record.DEFAULT_OUTOFCORE_PATH),
+        (record.flush_server, "REPRO_BENCH_RECORD_SERVER", record.DEFAULT_SERVER_PATH),
+        (record.flush_audit, "REPRO_BENCH_RECORD_AUDIT", record.DEFAULT_AUDIT_PATH),
+    ):
+        path = os.environ.get(variable)
+        if not path:
+            os.makedirs(scratch, exist_ok=True)
+            path = os.path.join(scratch, os.path.basename(default))
+        written = flush(path)
+        if written:
+            print(f"\nbenchmark record written: {written}")

@@ -4,9 +4,10 @@ The enforced speedup benches (``test_bench_engine.py`` /
 ``test_bench_retraversal.py``) call :func:`record` with their measurements
 and the service bench (``test_bench_service.py``) calls
 :func:`record_service`; a session-finish hook in ``benchmarks/conftest.py``
-flushes everything to ``BENCH_engine.json`` / ``BENCH_service.json`` so the
-performance trajectory is tracked across PRs (CI uploads both files as
-build artifacts).
+flushes everything to ``BENCH_*.json`` files: where the
+``REPRO_BENCH_RECORD*`` variables point (CI uploads them as build
+artifacts), else into a temp directory, so a test run never rewrites the
+committed records.
 
 Schema (version 1)::
 

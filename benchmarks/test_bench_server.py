@@ -15,9 +15,9 @@ two ways:
 
 Two enforced bars:
 
-* **>= 1x the PR 3 closed-loop number** — the server must sustain the
-  throughput PR 3 recorded for its closed loop (the ``batched``
-  requests_per_sec committed in ``BENCH_service.json``); achieved ~1.05x
+* **>= 1x the service bench's closed loop** — the server must sustain the
+  throughput of the ``zipf-256`` ``batched`` reference of
+  ``test_bench_service.py``, re-measured in this session; achieved ~1.05x
   (recorded per run in ``BENCH_server.json``), enforced with a
   noise-absorbing floor via ``REPRO_MIN_PR3_RATIO``.
 * **the wire tax is bounded** — against a *live* re-measured closed loop
@@ -62,12 +62,12 @@ BATCH_WINDOW = 16_384  # the closed-loop baseline's submit window
 #: Floor on server req/s as a fraction of the LIVE closed-loop measurement
 #: (the wire tax bound; see module docstring).
 MIN_RATIO = float(os.environ.get("REPRO_MIN_SERVER_RATIO", "0.6"))
-#: Floor on server req/s as a fraction of the PR 3 recorded closed-loop
-#: number.  The achieved ratio (~1.05x on the canonical machine, i.e. the
-#: acceptance bar's >= 1x) is recorded in BENCH_server.json; the *enforced*
-#: floor sits below it because this compares a live measurement against a
-#: committed absolute number — ambient machine load moves it ~20%.  CI
-#: smoke lowers it further (the record was not made on that hardware).
+#: Floor on server req/s as a fraction of the service bench's zipf-256
+#: batched closed loop, measured in the same session.
+#: The achieved ratio (~1.05x on the canonical machine, i.e. the acceptance
+#: bar's >= 1x) is recorded in BENCH_server.json; the *enforced* floor sits
+#: below it because the two runs are minutes apart and ambient machine load
+#: moves their ratio ~20%.  CI smoke lowers it further.
 MIN_PR3_RATIO = float(os.environ.get("REPRO_MIN_PR3_RATIO", "0.75"))
 #: Floor on durable-server req/s as a fraction of the in-memory server —
 #: the acceptance bar "durable <= ~2x throughput cost".  The batched drain
@@ -89,14 +89,22 @@ ATTRIBUTION_SLACK = float(os.environ.get("REPRO_TRACE_ATTRIBUTION_SLACK", "0.2")
 
 
 def pr3_closed_loop_rps():
-    """The closed-loop req/s recorded by the PR 3 service bench, if present."""
-    path = os.path.join(os.path.dirname(__file__), "BENCH_service.json")
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            record = json.load(handle)
-        return float(record["results"]["zipf-256"]["batched"]["requests_per_sec"])
-    except (OSError, KeyError, ValueError):
-        return None
+    """The service bench's closed-loop req/s: its ``zipf-256`` ``batched``
+    reference, best of three, measured now on this machine.
+
+    Comparing against this instead of the number a past run left in
+    ``BENCH_service.json`` keeps both sides of the ratio under the same
+    host load, as the paired ``ratio`` check does."""
+    from benchmarks import test_bench_service as service_bench
+
+    reference = generate_workload(service_bench.SPEC, rng=0)
+
+    def batched():
+        service = SVTQueryService(reference.supports, seed=1)
+        return run_batched(service, reference,
+                           batch_size=service_bench.BATCH_WINDOW, session_seed=42)
+
+    return service_bench.best_stats(batched).requests_per_sec
 
 SPEC = WorkloadSpec(
     tenants=TENANTS,
@@ -383,19 +391,15 @@ def test_server_vs_closed_loop(workload):
     trial = min((run_server_trial(workload) for _ in range(3)), key=lambda t: t["duration_s"])
     ratio = trial["requests_per_sec"] / baseline.requests_per_sec
     pr3_rps = pr3_closed_loop_rps()
-    pr3_ratio = trial["requests_per_sec"] / pr3_rps if pr3_rps else None
+    pr3_ratio = trial["requests_per_sec"] / pr3_rps
 
     emit(
         "Concurrent server vs closed loop — 256-tenant Zipf, 8 TCP clients",
         f"closed loop: {baseline.requests_per_sec:>12,.0f} req/s   "
         f"server: {trial['requests_per_sec']:>12,.0f} req/s   ratio {ratio:.2f}x\n"
-        + (
-            f"PR 3 recorded closed loop: {pr3_rps:,.0f} req/s   "
-            f"server/PR3 ratio {pr3_ratio:.2f}x\n"
-            if pr3_ratio
-            else ""
-        )
-        + f"shed rate {trial['shed_rate']:.2%}   drains {trial['drains']}   "
+        f"service-bench closed loop (zipf-256 batched): {pr3_rps:,.0f} req/s   "
+        f"server/service-bench ratio {pr3_ratio:.2f}x\n"
+        f"shed rate {trial['shed_rate']:.2%}   drains {trial['drains']}   "
         f"drain p99 {trial['drain_p99_ms']:.1f} ms   "
         f"window latency p50/p99 {trial['latency_p50_ms']:.1f}/"
         f"{trial['latency_p99_ms']:.1f} ms\n"
@@ -409,8 +413,8 @@ def test_server_vs_closed_loop(workload):
         requests_per_sec=round(trial["requests_per_sec"], 1),
         closed_loop_requests_per_sec=round(baseline.requests_per_sec, 1),
         ratio=round(ratio, 3),
-        pr3_closed_loop_requests_per_sec=pr3_rps,
-        pr3_ratio=round(pr3_ratio, 3) if pr3_ratio else None,
+        pr3_closed_loop_requests_per_sec=round(pr3_rps, 1),
+        pr3_ratio=round(pr3_ratio, 3),
         shed_rate=trial["shed_rate"],
         latency_p50_ms=round(trial["latency_p50_ms"], 3),
         latency_p99_ms=round(trial["latency_p99_ms"], 3),
@@ -418,8 +422,7 @@ def test_server_vs_closed_loop(workload):
         drains=trial["drains"],
     )
     assert ratio >= MIN_RATIO
-    if pr3_ratio is not None:
-        assert pr3_ratio >= MIN_PR3_RATIO
+    assert pr3_ratio >= MIN_PR3_RATIO
 
 
 def test_tracing_overhead_and_attribution(workload):

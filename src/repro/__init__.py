@@ -29,91 +29,50 @@ Reproducing the paper's evaluation::
     from repro.experiments import run_figure4, run_figure5
 """
 
-from repro.accounting import BudgetLedger, PrivacyBudget, split_budget
-from repro.core import (
-    ABOVE,
-    BELOW,
-    BudgetAllocation,
-    Response,
-    SVTResult,
-    StandardSVT,
-    allocate,
-    run_svt,
-    run_svt_batch,
-    select_top_c,
-    svt_alg1,
-    svt_retraversal,
-)
-from repro.data import (
-    ScoreDataset,
-    TransactionDatabase,
-    aol_like,
-    bms_pos_like,
-    generate_dataset,
-    kosarak_like,
-    zipf_like,
-)
-from repro.exceptions import (
-    BudgetExhaustedError,
-    DatasetError,
-    InvalidParameterError,
-    NonPrivateMechanismError,
-    PrivacyError,
-    QueryError,
-    ReproError,
-)
-from repro.mechanisms import (
-    ExponentialMechanism,
-    LaplaceMechanism,
-    report_noisy_max,
-    select_top_c_em,
-)
-from repro.metrics import false_negative_rate, score_error_rate, selection_report
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    # core
-    "ABOVE",
-    "BELOW",
-    "Response",
-    "SVTResult",
-    "StandardSVT",
-    "BudgetAllocation",
-    "allocate",
-    "svt_alg1",
-    "run_svt",
-    "run_svt_batch",
-    "svt_retraversal",
-    "select_top_c",
-    # mechanisms
-    "LaplaceMechanism",
-    "ExponentialMechanism",
-    "select_top_c_em",
-    "report_noisy_max",
-    # accounting
-    "PrivacyBudget",
-    "BudgetLedger",
-    "split_budget",
-    # data
-    "ScoreDataset",
-    "TransactionDatabase",
-    "bms_pos_like",
-    "kosarak_like",
-    "aol_like",
-    "zipf_like",
-    "generate_dataset",
-    # metrics
-    "false_negative_rate",
-    "score_error_rate",
-    "selection_report",
-    # errors
-    "ReproError",
-    "PrivacyError",
-    "BudgetExhaustedError",
-    "NonPrivateMechanismError",
-    "InvalidParameterError",
-    "DatasetError",
-    "QueryError",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".core": (
+        "ABOVE",
+        "BELOW",
+        "Response",
+        "SVTResult",
+        "StandardSVT",
+        "BudgetAllocation",
+        "allocate",
+        "svt_alg1",
+        "run_svt",
+        "run_svt_batch",
+        "svt_retraversal",
+        "select_top_c",
+    ),
+    ".mechanisms": (
+        "LaplaceMechanism",
+        "ExponentialMechanism",
+        "select_top_c_em",
+        "report_noisy_max",
+    ),
+    ".accounting": ("PrivacyBudget", "BudgetLedger", "split_budget"),
+    ".data": (
+        "ScoreDataset",
+        "TransactionDatabase",
+        "bms_pos_like",
+        "kosarak_like",
+        "aol_like",
+        "zipf_like",
+        "generate_dataset",
+    ),
+    ".metrics": ("false_negative_rate", "score_error_rate", "selection_report"),
+    ".exceptions": (
+        "ReproError",
+        "PrivacyError",
+        "BudgetExhaustedError",
+        "NonPrivateMechanismError",
+        "InvalidParameterError",
+        "DatasetError",
+        "QueryError",
+    ),
+})
+__all__ = ["__version__", *__all__]

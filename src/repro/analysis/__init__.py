@@ -10,54 +10,18 @@
   Appendix 10.3).
 """
 
-from repro.analysis.theory import (
-    alpha_em,
-    alpha_svt,
-    alpha_ratio,
-    em_correct_selection_probability,
-)
-from repro.analysis.verifier import (
-    MechanismSpec,
-    empirical_epsilon,
-    outcome_probability,
-    privacy_ratio,
-    spec_for_variant,
-)
-from repro.analysis.accuracy import (
-    AccuracyCheck,
-    em_accuracy_check,
-    svt_accuracy_check,
-)
-from repro.analysis.lemma1 import (
-    f_side_margin,
-    g_side_margin,
-    one_side_conflict,
-    rho_shift_margin,
-)
-from repro.analysis.gptt import (
-    gptt_counterexample_ratio,
-    gptt_kappa,
-    broken_proof_would_condemn_alg1,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "alpha_svt",
-    "alpha_em",
-    "alpha_ratio",
-    "em_correct_selection_probability",
-    "MechanismSpec",
-    "outcome_probability",
-    "privacy_ratio",
-    "empirical_epsilon",
-    "spec_for_variant",
-    "gptt_counterexample_ratio",
-    "f_side_margin",
-    "g_side_margin",
-    "rho_shift_margin",
-    "one_side_conflict",
-    "AccuracyCheck",
-    "svt_accuracy_check",
-    "em_accuracy_check",
-    "gptt_kappa",
-    "broken_proof_would_condemn_alg1",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".theory": ("alpha_svt", "alpha_em", "alpha_ratio", "em_correct_selection_probability"),
+    ".verifier": (
+        "MechanismSpec",
+        "outcome_probability",
+        "privacy_ratio",
+        "empirical_epsilon",
+        "spec_for_variant",
+    ),
+    ".lemma1": ("f_side_margin", "g_side_margin", "rho_shift_margin", "one_side_conflict"),
+    ".accuracy": ("AccuracyCheck", "svt_accuracy_check", "em_accuracy_check"),
+    ".gptt": ("gptt_counterexample_ratio", "gptt_kappa", "broken_proof_would_condemn_alg1"),
+})

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy import integrate, optimize
 
 from repro.exceptions import InvalidParameterError
 from repro.mechanisms.laplace import laplace_cdf, laplace_pdf, laplace_ppf, laplace_sf
@@ -184,6 +183,8 @@ def broken_proof_would_condemn_alg1(
     rho_scale = 2.0 * sensitivity / epsilon
     nu_scale = 4.0 * sensitivity / epsilon
 
+    from scipy import integrate
+
     def prob_all_below(shift: float) -> float:
         def integrand(z: float) -> float:
             f = float(laplace_cdf(z - shift, nu_scale))
@@ -242,6 +243,8 @@ def broken_proof_interval(t: int, epsilon: float, sensitivity: float = 1.0) -> f
 
 def _alpha_for(t: int, epsilon: float, sensitivity: float) -> float:
     """alpha(t) = Pr[A(D') = ⊥^t] for the replay instance."""
+    from scipy import integrate
+
     rho_scale = 2.0 * sensitivity / epsilon
     nu_scale = 4.0 * sensitivity / epsilon
 

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import integrate
 
 from repro.exceptions import InvalidParameterError
 from repro.mechanisms.laplace import laplace_cdf, laplace_pdf, laplace_sf
@@ -138,6 +137,8 @@ def _noise_sf(x: np.ndarray, scale: float) -> np.ndarray:
 
 def _integrate(fn, lo: float, hi: float, points: Sequence[float]) -> float:
     """Adaptive quadrature with interior breakpoints, tolerant of kinks."""
+    from scipy import integrate
+
     pts = sorted(p for p in points if lo < p < hi)
     value, _err = integrate.quad(fn, lo, hi, points=pts or None, limit=400)
     return float(value)

@@ -55,15 +55,12 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.applications.itemset_mining import private_top_c_itemsets
+# Only what the parser needs is imported here; each command imports the
+# rest itself, so `repro serve` (and every shard worker it spawns) never
+# loads the analysis, metrics or applications code.
 from repro.core.selection import SELECTION_METHODS, select_top_c
 from repro.data.generators import DATASET_GENERATORS, generate_dataset
-from repro.data.loaders import load_transactions, save_transactions
-from repro.data.transaction_db import TransactionDatabase
 from repro.exceptions import ReproError
-from repro.metrics.privacy import privacy_report
-from repro.metrics.utility import selection_report
-from repro.rng import derive_rng
 
 __all__ = ["main", "build_parser"]
 
@@ -291,6 +288,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from repro.data.loaders import save_transactions
+    from repro.data.transaction_db import TransactionDatabase
+    from repro.rng import derive_rng
+
     dataset = generate_dataset(args.dataset, rng=args.seed, scale=args.scale)
     if args.format == "supports":
         args.out.write_text("\n".join(str(int(s)) for s in dataset.supports) + "\n")
@@ -310,6 +311,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_select(args: argparse.Namespace) -> int:
+    from repro.metrics.utility import selection_report
+
     scores = np.array(
         [float(line) for line in args.scores.read_text().split() if line.strip()]
     )
@@ -334,6 +337,9 @@ def _cmd_select(args: argparse.Namespace) -> int:
 
 
 def _cmd_mine(args: argparse.Namespace) -> int:
+    from repro.applications.itemset_mining import private_top_c_itemsets
+    from repro.data.loaders import load_transactions
+
     db = load_transactions(args.database)
     mined = private_top_c_itemsets(
         db,
@@ -357,6 +363,8 @@ def _cmd_mine(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
+    from repro.metrics.privacy import privacy_report
+
     # A canonical adversarial pair: below-queries rise by Delta while
     # deep-tail above-candidates fall by Delta (the both-directions geometry
     # the broken variants cannot afford).

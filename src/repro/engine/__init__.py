@@ -28,72 +28,37 @@ The experiment harness (:mod:`repro.experiments`), the attack estimator
 through here.
 """
 
-from repro.engine.batch import (
-    run_chen_batch,
-    run_dpbook_batch,
-    run_gptt_batch,
-    run_lee_clifton_batch,
-    run_roth_batch,
-    run_stoddard_batch,
-    run_svt_batch,
-)
-from repro.engine.exec import execute_trials, merge_batches, run_sharded
-from repro.engine.gate import GateBlock, gate_block
-from repro.engine.noise import TrialRngs, gumbel_matrix, laplace_matrix, laplace_vector
-from repro.engine.plans import (
-    BYTES_PER_CELL,
-    TrialPlan,
-    available_memory_bytes,
-    bytes_per_cell,
-    plan_trials,
-)
-from repro.engine.tiled import run_tiled_chunk
-from repro.engine.retraversal import (
-    RetraversalTrialBatch,
-    em_selection_matrix,
-    retraversal_trials,
-)
-from repro.engine.trials import (
-    TrialBatch,
-    cut_matrix,
-    run_trials,
-    selection_matrix,
-    svt_selection_grid,
-    svt_selection_matrix,
-    transcript_sampler,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "TrialRngs",
-    "laplace_matrix",
-    "laplace_vector",
-    "gumbel_matrix",
-    "run_svt_batch",
-    "run_dpbook_batch",
-    "run_roth_batch",
-    "run_lee_clifton_batch",
-    "run_stoddard_batch",
-    "run_chen_batch",
-    "run_gptt_batch",
-    "RetraversalTrialBatch",
-    "retraversal_trials",
-    "em_selection_matrix",
-    "TrialBatch",
-    "cut_matrix",
-    "selection_matrix",
-    "svt_selection_matrix",
-    "svt_selection_grid",
-    "run_trials",
-    "transcript_sampler",
-    "TrialPlan",
-    "plan_trials",
-    "available_memory_bytes",
-    "run_tiled_chunk",
-    "BYTES_PER_CELL",
-    "bytes_per_cell",
-    "execute_trials",
-    "merge_batches",
-    "run_sharded",
-    "GateBlock",
-    "gate_block",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".noise": ("TrialRngs", "laplace_matrix", "laplace_vector", "gumbel_matrix"),
+    ".batch": (
+        "run_svt_batch",
+        "run_dpbook_batch",
+        "run_roth_batch",
+        "run_lee_clifton_batch",
+        "run_stoddard_batch",
+        "run_chen_batch",
+        "run_gptt_batch",
+    ),
+    ".retraversal": ("RetraversalTrialBatch", "retraversal_trials", "em_selection_matrix"),
+    ".trials": (
+        "TrialBatch",
+        "cut_matrix",
+        "selection_matrix",
+        "svt_selection_matrix",
+        "svt_selection_grid",
+        "run_trials",
+        "transcript_sampler",
+    ),
+    ".plans": (
+        "TrialPlan",
+        "plan_trials",
+        "available_memory_bytes",
+        "BYTES_PER_CELL",
+        "bytes_per_cell",
+    ),
+    ".tiled": ("run_tiled_chunk",),
+    ".exec": ("execute_trials", "merge_batches", "run_sharded"),
+    ".gate": ("GateBlock", "gate_block"),
+})

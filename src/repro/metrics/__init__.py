@@ -1,18 +1,13 @@
 """Utility metrics from Section 6."""
 
-from repro.metrics.privacy import PrivacyReport, privacy_report
-from repro.metrics.utility import (
-    false_negative_rate,
-    precision_recall,
-    score_error_rate,
-    selection_report,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "false_negative_rate",
-    "score_error_rate",
-    "precision_recall",
-    "selection_report",
-    "PrivacyReport",
-    "privacy_report",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".utility": (
+        "false_negative_rate",
+        "score_error_rate",
+        "precision_recall",
+        "selection_report",
+    ),
+    ".privacy": ("PrivacyReport", "privacy_report"),
+})

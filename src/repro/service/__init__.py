@@ -31,42 +31,14 @@ The paper's Section-3.4 online-answering pattern — "answer many queries for
   (:func:`restore_service`) and a :class:`FaultInjector` crash harness.
 """
 
-from repro.service.audit import AuditLog, AuditRecord, gate_mechanism_spec, verify_audit
-from repro.service.batcher import QueuedRequest, RequestBatcher
-from repro.service.engine import DrainResult, ServiceClient, ServiceEngine, SVTQueryService
-from repro.service.manager import SessionManager
-from repro.service.session import LaneAnswer, OnlineAnswer, Session
-from repro.service.store import (
-    DurableStore,
-    FaultInjector,
-    RecoveryInfo,
-    StoreConfig,
-    restore_service,
-)
-from repro.service.workload import LoadStats, Workload, WorkloadSpec, generate_workload
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "LaneAnswer",
-    "AuditLog",
-    "AuditRecord",
-    "gate_mechanism_spec",
-    "verify_audit",
-    "QueuedRequest",
-    "RequestBatcher",
-    "DrainResult",
-    "ServiceClient",
-    "ServiceEngine",
-    "SVTQueryService",
-    "SessionManager",
-    "OnlineAnswer",
-    "Session",
-    "LoadStats",
-    "Workload",
-    "WorkloadSpec",
-    "generate_workload",
-    "DurableStore",
-    "StoreConfig",
-    "FaultInjector",
-    "RecoveryInfo",
-    "restore_service",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".session": ("LaneAnswer", "OnlineAnswer", "Session"),
+    ".audit": ("AuditLog", "AuditRecord", "gate_mechanism_spec", "verify_audit"),
+    ".batcher": ("QueuedRequest", "RequestBatcher"),
+    ".engine": ("DrainResult", "ServiceClient", "ServiceEngine", "SVTQueryService"),
+    ".manager": ("SessionManager",),
+    ".workload": ("LoadStats", "Workload", "WorkloadSpec", "generate_workload"),
+    ".store": ("DurableStore", "StoreConfig", "FaultInjector", "RecoveryInfo", "restore_service"),
+})

@@ -48,6 +48,9 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
+# np.unique (the shared-mode drain) imports numpy.ma on its first call, which
+# takes ~40 ms; load it at boot so that the first drain does not pay it.
+import numpy.ma  # noqa: F401
 
 from repro.data.scores import ScoreSource
 from repro.engine.gate import gate_block

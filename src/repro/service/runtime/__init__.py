@@ -12,48 +12,25 @@ runs mid-flight, and the AIMD drain-window controller);
 merged admin plane, per-shard durable state and recovery).
 """
 
-from repro.service.runtime.metrics import (
-    AdaptiveDrainPolicy,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    RssSampler,
-    metric_key,
-    parse_metric_key,
-)
-from repro.service.runtime.server import (
-    PROTOCOL,
-    IngressQueue,
-    RuntimeServer,
-    ServerConfig,
-    parse_request_line,
-)
-from repro.service.runtime.shard import (
-    HashRing,
-    ShardedServer,
-    ShardWorker,
-    merge_histogram_snapshots,
-    merge_snapshots,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AdaptiveDrainPolicy",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "RssSampler",
-    "metric_key",
-    "parse_metric_key",
-    "PROTOCOL",
-    "IngressQueue",
-    "RuntimeServer",
-    "ServerConfig",
-    "parse_request_line",
-    "HashRing",
-    "ShardedServer",
-    "ShardWorker",
-    "merge_histogram_snapshots",
-    "merge_snapshots",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".metrics": (
+        "AdaptiveDrainPolicy",
+        "Counter",
+        "Gauge",
+        "Histogram",
+        "MetricsRegistry",
+        "RssSampler",
+        "metric_key",
+        "parse_metric_key",
+    ),
+    ".server": ("PROTOCOL", "IngressQueue", "RuntimeServer", "ServerConfig", "parse_request_line"),
+    ".shard": (
+        "HashRing",
+        "ShardedServer",
+        "ShardWorker",
+        "merge_histogram_snapshots",
+        "merge_snapshots",
+    ),
+})
