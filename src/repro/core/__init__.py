@@ -8,48 +8,37 @@
 * :mod:`repro.core.selection` — one facade for private top-c selection.
 """
 
-from repro.core.base import (
-    ABOVE,
-    BELOW,
-    Response,
-    SVTResult,
-    normalize_thresholds,
-)
-from repro.core.allocation import (
-    BudgetAllocation,
-    allocate,
-    comparison_std,
-    comparison_variance,
-    optimal_ratio_exponent_weight,
-)
-from repro.core.svt import StandardSVT, svt_alg1, run_svt, run_svt_batch
-from repro.core.epsilon_delta import (
-    EpsilonDeltaAllocation,
-    per_positive_epsilon,
-    run_svt_epsilon_delta,
-)
-from repro.core.retraversal import RetraversalResult, svt_retraversal
-from repro.core.selection import select_top_c
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ABOVE",
-    "BELOW",
-    "Response",
-    "SVTResult",
-    "normalize_thresholds",
-    "BudgetAllocation",
-    "allocate",
-    "comparison_variance",
-    "comparison_std",
-    "optimal_ratio_exponent_weight",
-    "StandardSVT",
-    "svt_alg1",
-    "run_svt",
-    "run_svt_batch",
-    "svt_retraversal",
-    "RetraversalResult",
-    "select_top_c",
-    "EpsilonDeltaAllocation",
-    "per_positive_epsilon",
-    "run_svt_epsilon_delta",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".base": (
+        "ABOVE",
+        "BELOW",
+        "Response",
+        "SVTResult",
+        "normalize_thresholds",
+    ),
+    ".allocation": (
+        "BudgetAllocation",
+        "allocate",
+        "comparison_std",
+        "comparison_variance",
+        "optimal_ratio_exponent_weight",
+    ),
+    ".svt": (
+        "StandardSVT",
+        "svt_alg1",
+        "run_svt",
+        "run_svt_batch",
+    ),
+    ".epsilon_delta": (
+        "EpsilonDeltaAllocation",
+        "per_positive_epsilon",
+        "run_svt_epsilon_delta",
+    ),
+    ".retraversal": (
+        "RetraversalResult",
+        "svt_retraversal",
+    ),
+    ".selection": ("select_top_c",),
+})

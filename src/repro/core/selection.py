@@ -21,7 +21,6 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from repro.core.allocation import BudgetAllocation
-from repro.core.retraversal import svt_retraversal
 from repro.core.svt import run_svt_batch
 from repro.exceptions import InvalidParameterError
 from repro.mechanisms.exponential import select_top_c_em
@@ -95,6 +94,8 @@ def select_top_c(
             rng=rng,
         )
         return np.asarray(result.positives, dtype=np.int64)
+    from repro.core.retraversal import svt_retraversal  # not on the serve path
+
     result = svt_retraversal(
         scores,
         allocation,

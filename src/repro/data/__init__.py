@@ -9,59 +9,39 @@ rationale.  Real data in FIMI ``.dat`` format drops in via
 :mod:`repro.data.loaders` and flows through the same APIs.
 """
 
-from repro.data.generators import (
-    DATASET_GENERATORS,
-    ScoreDataset,
-    aol_like,
-    bms_pos_like,
-    generate_dataset,
-    kosarak_like,
-    zipf_like,
-)
-from repro.data.scores import (
-    DenseScores,
-    GeneratorScores,
-    MemmapScores,
-    ScoreSource,
-    SourceDataset,
-    as_score_source,
-    topc_stats,
-    topc_values,
-)
-from repro.data.histograms import (
-    block_queries,
-    interval_queries,
-    point_queries,
-    power_law_histogram,
-    prefix_queries,
-    random_linear_queries,
-)
-from repro.data.transaction_db import TransactionDatabase
-from repro.data.loaders import load_transactions, save_transactions
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ScoreDataset",
-    "ScoreSource",
-    "DenseScores",
-    "GeneratorScores",
-    "MemmapScores",
-    "SourceDataset",
-    "as_score_source",
-    "topc_stats",
-    "topc_values",
-    "bms_pos_like",
-    "kosarak_like",
-    "aol_like",
-    "zipf_like",
-    "generate_dataset",
-    "DATASET_GENERATORS",
-    "TransactionDatabase",
-    "power_law_histogram",
-    "point_queries",
-    "prefix_queries",
-    "interval_queries",
-    "random_linear_queries",
-    "block_queries",
-    "load_transactions",
-    "save_transactions",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".generators": (
+        "DATASET_GENERATORS",
+        "ScoreDataset",
+        "aol_like",
+        "bms_pos_like",
+        "generate_dataset",
+        "kosarak_like",
+        "zipf_like",
+    ),
+    ".scores": (
+        "DenseScores",
+        "GeneratorScores",
+        "MemmapScores",
+        "ScoreSource",
+        "SourceDataset",
+        "as_score_source",
+        "topc_stats",
+        "topc_values",
+    ),
+    ".histograms": (
+        "block_queries",
+        "interval_queries",
+        "point_queries",
+        "power_law_histogram",
+        "prefix_queries",
+        "random_linear_queries",
+    ),
+    ".transaction_db": ("TransactionDatabase",),
+    ".loaders": (
+        "load_transactions",
+        "save_transactions",
+    ),
+})

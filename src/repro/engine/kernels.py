@@ -18,7 +18,7 @@ Kernel families, mapping onto the Figure 1 variants:
   ``q_i + nu_i`` that won the comparison), and Alg. 4.
 * :func:`dpbook_kernel` — Alg. 2: the threshold noise is refreshed after
   every positive, splitting the run into constant-rho segments; each segment
-  is one vectorized scan-then-cut.
+  is one :func:`first_hit` scan, so the run examines each query once.
 * :func:`nocut_kernel` — Alg. 5/6 and GPTT: no cutoff, every query is
   processed, so the whole run is a single vectorized comparison.
 """
@@ -34,6 +34,8 @@ from repro.exceptions import InvalidParameterError
 
 __all__ = [
     "cut_at_cth_positive",
+    "first_hit",
+    "scan_window",
     "threshold_kernel",
     "threshold_kernel_stream",
     "dpbook_kernel",
@@ -60,7 +62,7 @@ __all__ = [
 THRESHOLD_BYTES_PER_CELL = 48
 
 #: dpbook_kernel (Alg. 2): the threshold shape plus the persistent
-#: ``values + nu`` matrix the segmented refresh rescans keep live.
+#: ``values + nu`` matrix the segmented refresh scans keep live.
 DPBOOK_BYTES_PER_CELL = 56
 
 #: nocut_kernel with query noise (Alg. 6 / GPTT): no halt bookkeeping, but
@@ -85,6 +87,38 @@ def cut_at_cth_positive(above: np.ndarray, c: int) -> Tuple[int, bool]:
     if hit.size and above[hit[0]]:
         return int(hit[0]) + 1, True
     return int(above.size), False
+
+
+def scan_window(n: int, c: int) -> int:
+    """First window width of an Alg. 2 first-hit scan: n queries, cutoff c.
+
+    About the mean gap between positives when c of them spread over the
+    row, so the c first windows of a run together cover about one row.
+    """
+    return max(1, n // (c + 1))
+
+
+def first_hit(
+    row: np.ndarray, thresholds: np.ndarray, rho: float, start: int, window: int
+) -> int:
+    """The first column j >= *start* with ``row[j] >= thresholds[j] + rho``,
+    or -1 when the rest of the 1-D *row* has none.
+
+    The row is compared a window at a time from *start*, the window
+    doubling after every miss, so a scan costs O(distance to the hit +
+    window) rather than O(n - start).  Every comparison is the same
+    elementwise expression a full ``row[start:] >= thresholds[start:] +
+    rho`` suffix scan evaluates, so the position is identical to it.
+    """
+    n = row.size
+    while start < n:
+        stop = min(start + window, n)
+        hit = row[start:stop] >= thresholds[start:stop] + rho
+        j = int(np.argmax(hit))
+        if hit[j]:
+            return start + j
+        start, window = stop, 2 * window
+    return -1
 
 
 def _as_values(values: Sequence[float]) -> np.ndarray:
@@ -178,20 +212,21 @@ def dpbook_kernel(
     nu: np.ndarray,
     c: int,
 ) -> SVTResult:
-    """Vectorized Alg. 2 kernel: segmented rescans with per-segment rho.
+    """Vectorized Alg. 2 kernel: segmented scans with per-segment rho.
 
     ``rhos[0]`` is the initial threshold noise; ``rhos[k]`` the refresh used
     after the k-th positive (the listing refreshes after *every* positive,
     including the c-th, so up to ``c + 1`` entries are consumed — pass at
     least that many).  Each query is examined exactly once; a "segment" is a
     maximal run under one rho, ended by a positive, and within a segment the
-    comparison is one vectorized scan.
+    comparison is one :func:`first_hit` scan from the segment's start.
     """
     arr = _as_values(values)
     n = arr.size
     if len(rhos) < min(c, n) + 1:
         raise InvalidParameterError(f"need at least min(c, n)+1 threshold draws, got {len(rhos)}")
     noisy = arr + nu
+    window = scan_window(n, c)
 
     rho = float(rhos[0])
     trace = [rho]
@@ -200,11 +235,9 @@ def dpbook_kernel(
     processed = n
     halted = False
     while start < n:
-        above = noisy[start:] >= thresholds[start:] + rho
-        hits = np.nonzero(above)[0]
-        if not hits.size:
+        pos = first_hit(noisy, thresholds, rho, start, window)
+        if pos < 0:
             break
-        pos = start + int(hits[0])
         positives.append(pos)
         rho = float(rhos[len(positives)])
         trace.append(rho)

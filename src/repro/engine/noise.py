@@ -95,8 +95,8 @@ class TrialStreams:
     untiled exact for every chunk_n.
 
     Two mechanisms need to *revisit* stream positions without disturbing
-    them: Alg. 2's segmented rescans re-read the query-noise tiles after
-    later rounds learn a refreshed threshold, and epsilon grids re-read the
+    them: Alg. 2's later rounds read on past each hit under a refreshed
+    threshold (each tile at most once per trial), and epsilon grids re-read the
     shared unit-noise tiles once per grid point.  :meth:`checkpoint` captures
     every trial's ``bit_generator.state`` (a small dict — noise tiles are
     re-derived from their coordinates in the stream, never stored), and

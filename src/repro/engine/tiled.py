@@ -15,11 +15,12 @@ consumes the bit stream exactly like the equivalent sequence of smaller
 draws, so drawing a trial's query noise tile by tile (in query order, from
 the same per-trial stream) reproduces the dense engine's one full-width
 draw bit for bit.  The two places that must *revisit* noise — Alg. 2's
-segmented rescans (later rounds re-read the query noise under a refreshed
-threshold) and shared-unit epsilon grids (every grid point re-reads the same
-unit block) — re-derive their tiles from bit-generator state checkpoints
-(:class:`~repro.engine.noise.TrialStreams`) rather than storing them, the
-same re-derivation trick that makes the per-trial streams chunk-invariant.
+later rounds (which read on past the first hit under a refreshed threshold,
+each tile at most once per trial) and shared-unit epsilon grids (every grid
+point re-reads the same unit block) — re-derive their tiles from
+bit-generator state checkpoints (:class:`~repro.engine.noise.TrialStreams`)
+rather than storing them, the same re-derivation trick that makes the
+per-trial streams chunk-invariant.
 Consequently, for every registry variant and every ``(chunk_trials,
 chunk_n)`` grid, the tiled result equals the dense per-trial-stream result
 exactly: same selections, same ``processed``/``passes``/``examined``
@@ -49,8 +50,10 @@ import numpy as np
 from repro.core.allocation import BudgetAllocation
 from repro.core.base import normalize_thresholds
 from repro.data.scores import ScoreSource, topc_stats
+from repro.engine.kernels import first_hit, scan_window
 from repro.engine.noise import TrialStreams
 from repro.engine.plans import noise_plan
+from repro.engine.trials import TrialBatch, _scatter_selection, _svt_scales
 from repro.exceptions import InvalidParameterError
 from repro.metrics.utility import metrics_from_topc
 
@@ -80,14 +83,6 @@ class _ThresholdView:
         if self._arr is None:
             return np.full(hi - lo, self._scalar)
         return self._arr[lo:hi]
-
-
-def _svt_scales(
-    allocation: BudgetAllocation, c: int, delta: float, monotonic: bool
-) -> Tuple[float, float]:
-    """(rho_scale, nu_scale) of Alg. 7 under one allocation (engine-shared)."""
-    factor = c if monotonic else 2 * c
-    return delta / allocation.eps1, factor * delta / allocation.eps2
 
 
 class _UnitTiles:
@@ -152,13 +147,6 @@ def _live_iter(streams, tiles, kind: str, scale: float = 1.0):
             yield streams.gumbel_tile(hi - lo)
         else:
             yield streams.laplace_tile(scale, hi - lo)
-
-
-def _scatter_selection(selection: np.ndarray, trials: int, n: int) -> np.ndarray:
-    mask = np.zeros((trials, n), dtype=bool)
-    rows, cols = np.nonzero(selection >= 0)
-    mask[rows, selection[rows, cols]] = True
-    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -234,16 +222,39 @@ def _fold_single_pass(
 
 
 # ---------------------------------------------------------------------------
-# Alg. 2: segmented rescans over the tile grid with checkpoint replay.
+# Alg. 2: first-hit scans over the tile grid with forward-only replay.
 # ---------------------------------------------------------------------------
 
 
-def _tile_index(tiles: Sequence[Tuple[int, int]], pos: int) -> int:
-    """Index of the tile containing query position *pos*."""
-    for k, (lo, hi) in enumerate(tiles):
-        if lo <= pos < hi:
-            return k
-    raise InvalidParameterError(f"position {pos} outside the tile grid")
+def _replayed_tiles(source, thrv, tiles, streams, trial, tile_states, k0, draw_scale, mult):
+    """``(lo, hi, noisy_row, thresholds)`` of one trial's tiles after *k0*,
+    re-derived in scan order by one replay generator, opened on first use.
+
+    Alg. 2's scan positions only move forward, so each tile is replayed at
+    most once per trial per epsilon, and the live stream is never touched.
+    """
+    gen = None
+    for k in range(k0 + 1, len(tiles)):
+        lo, hi = tiles[k]
+        if gen is None:
+            gen = streams.replayer(trial, tile_states[k][trial])
+        nu = gen.laplace(scale=draw_scale, size=hi - lo) * mult
+        yield lo, hi, source.block(lo, hi) + nu, thrv(lo, hi)
+
+
+def _scan_on(tile, later, start: int, rho: float, window: int):
+    """First hit at or after *start* under *rho*, from the current *tile*
+    on through the *later* ones: ``(position or -1, tile it lies in)``."""
+    while True:
+        lo, hi, row, thr = tile
+        if start < hi:
+            j = first_hit(row, thr, rho, start - lo, window)
+            if j >= 0:
+                return lo + j, tile
+        tile = next(later, None)
+        if tile is None:
+            return -1, None
+        start = tile[0]
 
 
 def _fold_dpbook(
@@ -257,25 +268,25 @@ def _fold_dpbook(
     c: int,
     unit_states: Optional[list],
 ):
-    """Alg. 2 over the tile grid: rounds of first-hit scans, replayed tiles.
+    """Alg. 2 over the tile grid: a first-hit sweep, then per-trial scans.
 
-    Round 1 sweeps every tile; with ``unit_states=None`` the query noise is
-    drawn live (advancing the streams through exactly n draws per trial,
-    the dense draw order) while each tile's pre-draw states are recorded.
-    Later rounds re-derive only the tiles at/after each still-active trial's
-    scan position from those checkpoints — replay generators, so the live
-    streams stay exactly where the dense path leaves them: right before the
-    data-dependent refresh draws, which are taken live in event order.
+    Round 1 sweeps every tile for all trials under the initial rho; with
+    ``unit_states=None`` the query noise is drawn live (advancing the
+    streams through exactly n draws per trial, the dense draw order) while
+    each tile's pre-draw states are recorded, and each trial keeps the
+    noisy row of the tile holding its first hit.  Later rounds go one trial
+    at a time: commit the hit, draw the refresh live (each trial's event
+    order), and scan on from the hit through the kept row and then the
+    following tiles, re-derived from their checkpoints
+    (:func:`_replayed_tiles`).  The live streams stay exactly where the
+    dense path leaves them.
     """
     trials = len(streams)
     n = source.n
-    rho = rho0.copy()
     count = np.zeros(trials, dtype=np.int64)
     selection = np.full((trials, c), -1, dtype=np.int64)
     processed = np.full(trials, n, dtype=np.int64)
     halted = np.zeros(trials, dtype=bool)
-    start = np.zeros(trials, dtype=np.int64)
-    active = np.ones(trials, dtype=bool) if n else np.zeros(trials, dtype=bool)
 
     live_round1 = unit_states is None
     tile_states: List[list] = [] if live_round1 else list(unit_states)
@@ -284,9 +295,8 @@ def _fold_dpbook(
 
     # Round 1: one sweep, all trials, initial rho.
     hit_pos = np.full(trials, -1, dtype=np.int64)
-    if live_round1:
-        nu_src = None
-    else:
+    kept: Dict[int, tuple] = {}  # trial -> (tile index, its first-hit tile)
+    if not live_round1:
         rep = streams.replayers(tile_states[0]) if tiles else None
     for k, (lo, hi) in enumerate(tiles):
         w = hi - lo
@@ -297,59 +307,38 @@ def _fold_dpbook(
             nu = rep.laplace_tile(1.0, w) * nu_scale
         if w == 0:
             continue
-        need = active & (hit_pos < 0)
+        need = hit_pos < 0
         if not need.any():
             if live_round1:
                 continue  # streams must still advance; replay may stop early
             break
-        v = source.block(lo, hi)
+        noisy = source.block(lo, hi)[None, :] + nu
         t = thrv(lo, hi)
-        above = v[None, :] + nu >= t[None, :] + rho[:, None]
+        above = noisy >= t[None, :] + rho0[:, None]
         has = above.any(axis=1)
         first = np.argmax(above, axis=1)
-        newly = need & has
-        hit_pos[newly] = lo + first[newly]
+        for t_idx in np.nonzero(need & has)[0]:
+            hit_pos[t_idx] = lo + first[t_idx]
+            kept[t_idx] = (k, (lo, hi, noisy[t_idx].copy(), t))
 
-    while True:
-        # Commit this round's hits: selection, counts, refreshes (live).
-        hit_trials = np.nonzero(active & (hit_pos >= 0))[0]
-        miss_trials = np.nonzero(active & (hit_pos < 0))[0]
-        active[miss_trials] = False  # no further hit under the current rho
-        for t_idx in hit_trials:
-            pos = int(hit_pos[t_idx])
+    # Later rounds, one trial at a time.
+    window = scan_window(n, c)
+    for t_idx, (k0, tile) in kept.items():
+        later = _replayed_tiles(
+            source, thrv, tiles, streams, t_idx, tile_states, k0, draw_scale, mult
+        )
+        pos = int(hit_pos[t_idx])
+        while pos >= 0:
             selection[t_idx, count[t_idx]] = pos
             count[t_idx] += 1
             if count[t_idx] >= c:
                 processed[t_idx] = pos + 1
                 halted[t_idx] = True
-                active[t_idx] = False
-            else:
-                rho[t_idx] = float(
-                    streams.gens[t_idx].laplace(scale=refresh_scale)
-                )
-                start[t_idx] = pos + 1
-                if start[t_idx] >= n:
-                    active[t_idx] = False
-        if not active.any():
-            break
-        # Next round: per-trial replay from the tile containing its start.
-        hit_pos[:] = -1
-        for t_idx in np.nonzero(active)[0]:
-            k0 = _tile_index(tiles, int(start[t_idx]))
-            gen = streams.replayer(t_idx, tile_states[k0][t_idx])
-            for k in range(k0, len(tiles)):
-                lo, hi = tiles[k]
-                w = hi - lo
-                nu_row = gen.laplace(scale=draw_scale, size=w) * mult
-                v = source.block(lo, hi)
-                t = thrv(lo, hi)
-                above = v + nu_row >= t + rho[t_idx]
-                if k == k0 and start[t_idx] > lo:
-                    above[: start[t_idx] - lo] = False
-                hits = np.nonzero(above)[0]
-                if hits.size:
-                    hit_pos[t_idx] = lo + int(hits[0])
-                    break
+                break
+            rho = float(streams.gens[t_idx].laplace(scale=refresh_scale))
+            if pos + 1 >= n:
+                break
+            pos, tile = _scan_on(tile, later, pos + 1, rho, window)
     return selection, processed, halted, count
 
 
@@ -370,10 +359,13 @@ def _fold_em(
 ):
     """c-round EM selections via a streaming row-wise top-c merge.
 
-    Keys are ``logits + gumbel`` exactly as the dense kernel computes them;
-    the per-tile merge keeps each trial's c best ``(key, index)`` pairs in
-    key-descending order (stable, so ties resolve to the lower index — the
-    dense stable-argsort order).
+    Keys are ``logits + gumbel`` exactly as the dense kernel computes them.
+    Each tile wider than c first gives up its own top c by ``argpartition``
+    (held in index order), so the merge with the running best sorts 2c
+    columns per tile instead of c + tile width.  The merge keeps each
+    trial's c best ``(key, index)`` pairs in key-descending order with a
+    stable sort over columns in index order, so ties resolve to the lower
+    index, the dense kernel's order.
     """
     from repro.mechanisms.exponential import _validate_eps, _validate_sensitivity
 
@@ -395,7 +387,13 @@ def _fold_em(
             continue
         v = source.block(lo, hi)
         keys = scale * v[None, :] + gumbel
-        idx = np.broadcast_to(np.arange(lo, hi, dtype=np.int64), (trials, w))
+        if w > c_eff:
+            head = np.argpartition(-keys, c_eff - 1, axis=1)[:, :c_eff]
+            head.sort(axis=1)
+            keys = np.take_along_axis(keys, head, axis=1)
+            idx = head + lo
+        else:
+            idx = np.broadcast_to(np.arange(lo, hi, dtype=np.int64), (trials, w))
         all_keys = np.concatenate([best_keys, keys], axis=1)
         all_idx = np.concatenate([best_idx, idx], axis=1)
         order = np.argsort(-all_keys, axis=1, kind="stable")[:, :c_eff]
@@ -530,8 +528,6 @@ def _assemble(
     passes: Optional[np.ndarray] = None,
     exhausted: Optional[np.ndarray] = None,
 ):
-    from repro.engine.trials import TrialBatch
-
     if compute_metrics:
         if topc is None:
             topc = topc_stats(source, c)

@@ -14,8 +14,9 @@ hot path; this module removes it:
   :func:`repro.metrics.utility.batch_selection_metrics`.
 
 Alg. 2's threshold refresh makes its comparison row depend on the trial's
-own history; :func:`_dpbook_above` handles it with segmented rescans — at
-most c+1 rounds, each one vectorized across all still-active trials, with
+own history; :func:`_dpbook_above` handles it with segmented scans — at
+most c+1 rounds, each one vectorized across all still-active trials and
+each starting where the trial's previous segment ended, with
 the per-query noise still drawn as a single up-front block (each query is
 examined at most once, so one draw per query is the correct semantics).
 The Section-5 methods route through :mod:`repro.engine.retraversal`:
@@ -55,6 +56,7 @@ import numpy as np
 from repro.core.allocation import BudgetAllocation
 from repro.core.base import normalize_thresholds
 from repro.data.scores import ScoreSource
+from repro.engine.kernels import first_hit, scan_window
 from repro.engine.noise import (
     TrialRngs,
     gumbel_matrix,
@@ -397,11 +399,13 @@ def _dpbook_above(
     trials: int,
     units: Optional[_UnitNoise] = None,
 ) -> np.ndarray:
-    """Alg. 2 comparison matrix via segmented rescans across all trials.
+    """Alg. 2 comparison matrix via segmented scans across all trials.
 
     One up-front noise block covers every query (each is examined at most
-    once); the refresh loop runs at most c+1 rounds, each vectorized over the
-    still-active trials.  The returned matrix reports, for every (trial,
+    once); the refresh loop runs at most c+1 rounds, each one
+    :func:`~repro.engine.kernels.first_hit` scan per still-active trial
+    from its own scan position, so a trial's rounds together compare O(n)
+    cells, not O(c·n).  The returned matrix reports, for every (trial,
     query), whether that query's single examination succeeded under the rho
     in force when it was reached — columns past a trial's halt point are
     sliced away by :func:`cut_matrix` downstream.  In grid mode the initial
@@ -424,13 +428,14 @@ def _dpbook_above(
     start = np.zeros(trials, dtype=np.int64)
     count = np.zeros(trials, dtype=np.int64)
     active = np.ones(trials, dtype=bool)
-    cols = np.arange(n)
+    window = scan_window(n, c)
     while active.any():
         idx = np.nonzero(active)[0]
-        sub = noisy[idx] >= thr[None, :] + rho[idx, None]
-        sub &= cols[None, :] >= start[idx, None]
-        has_hit = sub.any(axis=1)
-        pos = np.argmax(sub, axis=1)
+        pos = np.array(
+            [first_hit(noisy[t], thr, rho[t], int(start[t]), window) for t in idx],
+            dtype=np.int64,
+        )
+        has_hit = pos >= 0
         # Trials with no further hit under the current rho are done.
         active[idx[~has_hit]] = False
         hit_trials = idx[has_hit]

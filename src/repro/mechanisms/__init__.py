@@ -6,43 +6,31 @@ Laplace mechanism [Dwork et al., TCC 2006] and the Exponential Mechanism
 cross-check for top-1 selection.
 """
 
-from repro.mechanisms.laplace import (
-    LaplaceDistribution,
-    LaplaceMechanism,
-    laplace_cdf,
-    laplace_pdf,
-    laplace_ppf,
-    sample_laplace,
-)
-from repro.mechanisms.geometric import (
-    GeometricMechanism,
-    geometric_cdf,
-    geometric_pmf,
-    sample_two_sided_geometric,
-)
-from repro.mechanisms.exponential import (
-    ExponentialMechanism,
-    exponential_mechanism_probabilities,
-    select_one,
-    select_top_c_em,
-)
-from repro.mechanisms.noisy_max import report_noisy_max, report_noisy_max_top_c
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "LaplaceDistribution",
-    "LaplaceMechanism",
-    "laplace_pdf",
-    "laplace_cdf",
-    "laplace_ppf",
-    "sample_laplace",
-    "ExponentialMechanism",
-    "GeometricMechanism",
-    "geometric_pmf",
-    "geometric_cdf",
-    "sample_two_sided_geometric",
-    "exponential_mechanism_probabilities",
-    "select_one",
-    "select_top_c_em",
-    "report_noisy_max",
-    "report_noisy_max_top_c",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".laplace": (
+        "LaplaceDistribution",
+        "LaplaceMechanism",
+        "laplace_cdf",
+        "laplace_pdf",
+        "laplace_ppf",
+        "sample_laplace",
+    ),
+    ".geometric": (
+        "GeometricMechanism",
+        "geometric_cdf",
+        "geometric_pmf",
+        "sample_two_sided_geometric",
+    ),
+    ".exponential": (
+        "ExponentialMechanism",
+        "exponential_mechanism_probabilities",
+        "select_one",
+        "select_top_c_em",
+    ),
+    ".noisy_max": (
+        "report_noisy_max",
+        "report_noisy_max_top_c",
+    ),
+})

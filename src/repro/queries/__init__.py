@@ -8,20 +8,18 @@ interactive setting — including the threshold-to-zero reduction from the
 Figure 1 footnote.
 """
 
-from repro.queries.base import Query, queries_are_monotonic, reduce_to_zero_threshold
-from repro.queries.counting import (
-    ItemSupportQuery,
-    ItemsetSupportQuery,
-    PredicateCountQuery,
-)
-from repro.queries.stream import QueryStream
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Query",
-    "queries_are_monotonic",
-    "reduce_to_zero_threshold",
-    "ItemSupportQuery",
-    "ItemsetSupportQuery",
-    "PredicateCountQuery",
-    "QueryStream",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".base": (
+        "Query",
+        "queries_are_monotonic",
+        "reduce_to_zero_threshold",
+    ),
+    ".counting": (
+        "ItemSupportQuery",
+        "ItemsetSupportQuery",
+        "PredicateCountQuery",
+    ),
+    ".stream": ("QueryStream",),
+})

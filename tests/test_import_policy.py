@@ -44,8 +44,25 @@ ENTRY_POINTS = {
     "engine-run_trials": _RUN_TRIALS,
 }
 
+#: Library modules a ``repro serve`` boot never runs; the serving entry
+#: points reach their packages only through the lazy export tables.
+SERVE_UNUSED = (
+    "repro.core.epsilon_delta",
+    "repro.core.retraversal",
+    "repro.mechanisms.geometric",
+    "repro.queries.stream",
+    "repro.data.histograms",
+    "repro.data.loaders",
+)
+
+SERVE_ENTRY_POINTS = ("cli", "server", "shard", "store")
+
 LAZY_PACKAGES = (
     "repro",
+    "repro.core",
+    "repro.data",
+    "repro.queries",
+    "repro.mechanisms",
     "repro.engine",
     "repro.metrics",
     "repro.analysis",
@@ -70,6 +87,13 @@ def test_entry_point_loads_no_scipy_analysis_or_experiments(entry):
     assert any(m.startswith("repro.") for m in modules)
     leaked = [m for m in modules if m.startswith(FORBIDDEN)]
     assert leaked == [], f"{entry} imports {leaked[:10]}"
+
+
+@pytest.mark.parametrize("entry", SERVE_ENTRY_POINTS)
+def test_serve_boot_skips_unused_library_modules(entry):
+    modules = set(loaded_modules(ENTRY_POINTS[entry]))
+    loaded = [m for m in SERVE_UNUSED if m in modules]
+    assert loaded == [], f"{entry} imports {loaded}"
 
 
 @pytest.mark.parametrize("package", LAZY_PACKAGES)
